@@ -141,32 +141,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.Run("2core", func(b *testing.B) { run2(b, false) })
 	b.Run("2core-stepped", func(b *testing.B) { run2(b, true) })
-
-	// The /2core-parallel pair measures the goroutine-per-core scheduler
-	// against the serial event engine on the same machine — the co-run
-	// *without* the coherence directory, since coherence hooks private L1
-	// demand processing into shared state and (correctly) keeps the run
-	// serial. On one CPU the pair is a parity check (span bookkeeping
-	// should cost ~nothing); real speedup needs real cores.
-	run2p := func(b *testing.B, parallel bool) {
-		b.ResetTimer()
-		var cycles uint64
-		for i := 0; i < b.N; i++ {
-			cfg := rnrsim.TestMachine()
-			cfg.Cores = 2
-			cfg.LLCBanks = 2
-			cfg.CrossCore = true
-			cfg.CoreParallel = parallel
-			r, err := rnrsim.Simulate(cfg, coApp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cycles += r.Cycles
-		}
-		b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-	}
-	b.Run("2core-parallel", func(b *testing.B) { run2p(b, true) })
-	b.Run("2core-parallel-serial", func(b *testing.B) { run2p(b, false) })
 }
 
 // BenchmarkRnRReplay measures the full RnR pipeline (record + replay);

@@ -82,20 +82,13 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a runtime/pprof heap profile to this file")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0),
 		"prefetcher simulations run in parallel (1 = stream rows as they finish)")
-	coreParallel := flag.Bool("core-parallel", false,
-		"run each simulated core's private domain on its own goroutine between shared-level events "+
-			"(results are byte-identical to the serial engine; no-op for 1-core and coherent co-run machines)")
-	coreParallelWorkers := flag.Int("core-parallel-workers", 0,
-		"worker-pool bound for -core-parallel (0 = GOMAXPROCS, capped at the core count)")
 	flag.Parse()
 
 	if err := validateFlags(flagValues{
-		Cores:               *cores,
-		CoRun:               *corun,
-		CrossCore:           *crosscore,
-		CoreParallel:        *coreParallel,
-		CoreParallelWorkers: *coreParallelWorkers,
-		Jobs:                *jobs,
+		Cores:     *cores,
+		CoRun:     *corun,
+		CrossCore: *crosscore,
+		Jobs:      *jobs,
 	}); err != nil {
 		fatal("%v", err)
 	}
@@ -173,8 +166,6 @@ func main() {
 			cfg.Cores = *cores
 		}
 		cfg.CrossCore = *crosscore
-		cfg.CoreParallel = *coreParallel
-		cfg.CoreParallelWorkers = *coreParallelWorkers
 		if *auditOn {
 			cfg.Audit = &audit.Config{Interval: *auditInt}
 		}
@@ -314,12 +305,10 @@ func main() {
 // flagValues carries the command-line values cross-flag validation
 // needs, so the rules are testable without running main.
 type flagValues struct {
-	Cores               int
-	CoRun               string
-	CrossCore           bool
-	CoreParallel        bool
-	CoreParallelWorkers int
-	Jobs                int
+	Cores     int
+	CoRun     string
+	CrossCore bool
+	Jobs      int
 }
 
 // validateFlags rejects flag misuse at parse time, naming the offending
@@ -339,12 +328,6 @@ func validateFlags(v flagValues) error {
 	}
 	if v.CrossCore && v.CoRun == "" && v.Cores < 2 {
 		return fmt.Errorf("-crosscore needs multiple cores: give a -corun job list or -cores >= 2")
-	}
-	if v.CoreParallelWorkers < 0 {
-		return fmt.Errorf("-core-parallel-workers must be >= 0 (got %d)", v.CoreParallelWorkers)
-	}
-	if v.CoreParallelWorkers > 0 && !v.CoreParallel {
-		return fmt.Errorf("-core-parallel-workers is set but -core-parallel is not")
 	}
 	if v.Jobs < 1 {
 		return fmt.Errorf("-j must be >= 1 (got %d)", v.Jobs)

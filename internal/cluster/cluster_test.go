@@ -364,6 +364,46 @@ func TestGracefulDegradation(t *testing.T) {
 	}
 }
 
+// TestHTTPDispatchBodyCap pins the coordinator's request-size cap: a
+// run spec over serve.MaxBodyBytes is answered 413 without a dispatch,
+// and a normal spec still runs on the worker.
+func TestHTTPDispatchBodyCap(t *testing.T) {
+	w1 := newTestWorker(t, "w1")
+	c := newTestCoordinator(t, Config{}, w1)
+	ts := httptest.NewServer(NewServer(c))
+	defer ts.Close()
+
+	big := `{"workload":"` + strings.Repeat("a", serve.MaxBodyBytes) + `","input":"urand","scale":"test"}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body status = %d, want 413", resp.StatusCode)
+	}
+	if got := c.Registry().Counter(CounterDispatches).Load(); got != 0 {
+		t.Fatalf("over-cap body dispatched %d times", got)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"workload":"pagerank","input":"urand","prefetcher":"none","scale":"test"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("normal spec status = %d, want 200", resp.StatusCode)
+	}
+	var res DispatchResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if res.WorkerID != "w1" || res.StateHash == "" {
+		t.Errorf("dispatch result = worker %q, hash %q; want w1 and a hash", res.WorkerID, res.StateHash)
+	}
+}
+
 // TestJoinLeaveHTTP exercises the membership endpoints.
 func TestJoinLeaveHTTP(t *testing.T) {
 	w1 := newTestWorker(t, "w1")

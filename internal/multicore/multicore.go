@@ -35,15 +35,12 @@ func (j JobSpec) String() string { return j.Workload + "." + j.Input }
 // ParseJob parses "workload.input" or "workload/input" into a JobSpec.
 // The split happens at the earliest separator of either kind, so an
 // input name containing the other separator ("pagerank/web.graph")
-// stays intact; a separator in first or last position does not split.
+// stays intact. A spec whose earliest separator is its first or last
+// byte is rejected: the workload never holds a separator, which makes
+// ParseJob(spec.String()) return spec for every accepted spec.
 func ParseJob(s string) (JobSpec, error) {
-	i := -1
-	for _, sep := range []string{".", "/"} {
-		if j := strings.Index(s, sep); j > 0 && j < len(s)-1 && (i < 0 || j < i) {
-			i = j
-		}
-	}
-	if i < 0 {
+	i := strings.IndexAny(s, "./")
+	if i <= 0 || i == len(s)-1 {
 		return JobSpec{}, fmt.Errorf("multicore: job %q not of the form workload.input", s)
 	}
 	return JobSpec{Workload: s[:i], Input: s[i+1:]}, nil

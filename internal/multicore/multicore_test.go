@@ -8,32 +8,62 @@ import (
 	"rnrsim/internal/trace"
 )
 
+// parseJobCases is TestParseJob's table and FuzzParseJob's seed corpus.
+var parseJobCases = []struct {
+	in   string
+	want JobSpec
+	ok   bool
+}{
+	{"pagerank.urand", JobSpec{"pagerank", "urand"}, true},
+	{"spcg/bbmat", JobSpec{"spcg", "bbmat"}, true},
+	{"pagerank", JobSpec{}, false},
+	{".urand", JobSpec{}, false},
+	{"pagerank.", JobSpec{}, false},
+	// Separator-precedence regression: the split must happen at the
+	// earliest separator of either kind. The old code tried "." before
+	// "/" regardless of position, so "a/b.c" parsed as workload "a/b".
+	{"a/b.c", JobSpec{"a", "b.c"}, true},
+	{"a.b/c", JobSpec{"a", "b/c"}, true},
+	{"a.b.c", JobSpec{"a", "b.c"}, true},
+	{"a/b/c", JobSpec{"a", "b/c"}, true},
+	{"/urand", JobSpec{}, false},
+	{"pagerank/", JobSpec{}, false},
+	// A leading separator of one kind used to be skipped in favour of
+	// a later one of the other: ".x/y" parsed to {".x", "y"}, whose
+	// own String() ".x.y" was then rejected, and "/a.b" to {"/a", "b"}.
+	{".x/y", JobSpec{}, false},
+	{"/a.b", JobSpec{}, false},
+}
+
 func TestParseJob(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want JobSpec
-		ok   bool
-	}{
-		{"pagerank.urand", JobSpec{"pagerank", "urand"}, true},
-		{"spcg/bbmat", JobSpec{"spcg", "bbmat"}, true},
-		{"pagerank", JobSpec{}, false},
-		{".urand", JobSpec{}, false},
-		{"pagerank.", JobSpec{}, false},
-		// Separator-precedence regression: the split must happen at the
-		// earliest separator of either kind. The old code tried "." before
-		// "/" regardless of position, so "a/b.c" parsed as workload "a/b".
-		{"a/b.c", JobSpec{"a", "b.c"}, true},
-		{"a.b/c", JobSpec{"a", "b/c"}, true},
-		{"a.b.c", JobSpec{"a", "b.c"}, true},
-		{"a/b/c", JobSpec{"a", "b/c"}, true},
-		{"/urand", JobSpec{}, false},
-		{"pagerank/", JobSpec{}, false},
-	} {
+	for _, tc := range parseJobCases {
 		got, err := ParseJob(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("ParseJob(%q) = %v, %v; want %v ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
+}
+
+// FuzzParseJob checks that ParseJob never panics, that an accepted spec
+// has both parts, and that every accepted spec round-trips through its
+// own String().
+func FuzzParseJob(f *testing.F) {
+	for _, tc := range parseJobCases {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseJob(s)
+		if err != nil {
+			return
+		}
+		if spec.Workload == "" || spec.Input == "" {
+			t.Fatalf("ParseJob(%q) = %+v: empty part", s, spec)
+		}
+		back, err := ParseJob(spec.String())
+		if err != nil || back != spec {
+			t.Fatalf("ParseJob(%q) = %+v, but ParseJob(%q) = %+v, %v", s, spec, spec.String(), back, err)
+		}
+	})
 }
 
 func TestComposeSingleJobIsIdentity(t *testing.T) {

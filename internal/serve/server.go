@@ -58,7 +58,9 @@ type errorBody struct {
 	Error         string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as indented JSON. The coordinator's front-end
+// answers through it too, so both tiers share one wire format.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -66,9 +68,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+// WriteError answers with the stamped JSON error envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	schema, generated := sim.Stamp()
-	writeJSON(w, status, errorBody{
+	WriteJSON(w, status, errorBody{
 		SchemaVersion: schema,
 		GeneratedAt:   generated,
 		Error:         fmt.Sprintf(format, args...),
@@ -85,17 +88,17 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.m.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -113,8 +116,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // counts as a watcher: disconnecting mid-wait can abandon the job).
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &spec) {
 		return
 	}
 	j, fresh, err := s.m.SubmitRun(spec)
@@ -127,8 +129,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitExperiment(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
-	if err := decodeBody(r, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeBody(w, r, &spec) {
 		return
 	}
 	j, fresh, err := s.m.SubmitExperiment(r.PathValue("id"), spec)
@@ -144,14 +145,14 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job
 		if !s.waitForJob(w, r, j) {
 			return
 		}
-		writeJSON(w, http.StatusOK, j.View(true))
+		WriteJSON(w, http.StatusOK, j.View(true))
 		return
 	}
 	status := http.StatusOK
 	if fresh {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, j.View(false))
+	WriteJSON(w, status, j.View(false))
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
@@ -161,7 +162,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		views[i] = j.View(false)
 	}
 	schema, generated := sim.Stamp()
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		SchemaVersion string    `json:"schema_version"`
 		GeneratedAt   string    `json:"generated_at"`
 		Jobs          []JobView `json:"jobs"`
@@ -171,7 +172,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	j, err := s.m.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if wantWait(r) && !j.State().Terminal() {
@@ -179,21 +180,21 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, j.View(true))
+	WriteJSON(w, http.StatusOK, j.View(true))
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := s.m.Cancel(id); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	j, err := s.m.Job(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.View(false))
+	WriteJSON(w, http.StatusOK, j.View(false))
 }
 
 // waitForJob blocks until the job is terminal or the client goes away.
@@ -220,7 +221,7 @@ func (s *Server) waitForJob(w http.ResponseWriter, r *http.Request, j *Job) bool
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := s.m.Job(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	release := s.m.Watch(j)
@@ -234,11 +235,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRenewLease(w http.ResponseWriter, r *http.Request) {
 	renewed, err := s.m.RenewLease(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	if !renewed {
-		writeError(w, http.StatusConflict, "job holds no live lease")
+		WriteError(w, http.StatusConflict, "job holds no live lease")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -248,7 +249,7 @@ func (s *Server) handleRenewLease(w http.ResponseWriter, r *http.Request) {
 // handleWorkerStatus is the cluster heartbeat responder: one cheap GET
 // a coordinator polls to judge this worker's health and load.
 func (s *Server) handleWorkerStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.m.WorkerStatus())
+	WriteJSON(w, http.StatusOK, s.m.WorkerStatus())
 }
 
 // ExperimentInfo is one row of the experiment registry listing.
@@ -269,7 +270,7 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	schema, generated := sim.Stamp()
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		SchemaVersion string           `json:"schema_version"`
 		GeneratedAt   string           `json:"generated_at"`
 		DefaultScale  string           `json:"default_scale"`
@@ -278,15 +279,32 @@ func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
 	}{schema, generated, s.m.Options().DefaultScale, ScaleNames, infos})
 }
 
-// decodeBody decodes a JSON request body strictly (unknown fields are
-// client errors). An empty body decodes to the zero value.
-func decodeBody(r *http.Request, v any) error {
+// MaxBodyBytes caps every JSON request body either tier decodes. A
+// run, sweep or join spec is a few hundred bytes; the cap only stops a
+// client from streaming an unbounded body into the decoder.
+const MaxBodyBytes = 1 << 20
+
+// DecodeBody decodes a JSON request body strictly (unknown fields are
+// client errors) into v. An empty body decodes to the zero value. On
+// failure it answers the request itself — 413 for a body over
+// MaxBodyBytes, 400 for anything else — and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Body == nil || r.ContentLength == 0 {
-		return nil
+		return true
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, status, "bad request body: %v", err)
+	return false
 }
 
 func wantWait(r *http.Request) bool {

@@ -435,3 +435,29 @@ func TestHTTPHealthz(t *testing.T) {
 		t.Errorf("submit while draining = %d, want 503", sub.StatusCode)
 	}
 }
+
+// TestHTTPBodyCap pins the request-size cap: a well-formed run spec
+// over MaxBodyBytes is answered 413 before any job exists, and a normal
+// spec on the same server still runs.
+func TestHTTPBodyCap(t *testing.T) {
+	ts, m := newTestServer(t, Options{Workers: 1})
+	big := `{"workload":"` + strings.Repeat("a", MaxBodyBytes) + `","input":"urand","scale":"test"}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body status = %d, want 413", resp.StatusCode)
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("over-cap body created %d jobs", n)
+	}
+	ok := postJSON(t, ts.URL+"/v1/runs?wait=1", testSpec())
+	if ok.StatusCode != http.StatusOK {
+		t.Fatalf("normal spec status = %d, want 200", ok.StatusCode)
+	}
+	if v := decodeView(t, ok); v.State != StateDone {
+		t.Errorf("normal spec ended %q, want done", v.State)
+	}
+}

@@ -23,7 +23,6 @@ func TestAuditCleanAcrossPrefetchers(t *testing.T) {
 		PFNone, PFNextLine, PFStream, PFGHB, PFBingo, PFRnR, PFRnRCombined,
 	}
 	for _, pf := range kinds {
-		pf := pf
 		t.Run(string(pf), func(t *testing.T) {
 			plain := runOne(t, testConfig().WithPrefetcher(pf), app)
 

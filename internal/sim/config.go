@@ -144,19 +144,6 @@ type Config struct {
 	// engine for those tests and as an escape hatch while debugging
 	// wakeup computations.
 	ForceCycleStepped bool
-
-	// CoreParallel runs each core's private domain (core + L1 + L2 +
-	// per-core prefetcher + RnR engine) on its own goroutine between
-	// shared-level wakeups. Results are byte-identical to the serial
-	// engines — the parallel differential tests prove it — so this is a
-	// pure wall-clock knob. It is a no-op with one core, under
-	// ForceCycleStepped, and in configurations where private-domain
-	// activity can reach shared state mid-window (coherence directory,
-	// RnRPrefetchToLLC); those fall back to the serial event engine.
-	CoreParallel bool
-	// CoreParallelWorkers bounds the worker pool (0 = GOMAXPROCS,
-	// capped at Cores).
-	CoreParallelWorkers int
 }
 
 // Baseline returns the paper's Table II machine: 4-core 4 GHz OoO with
@@ -278,9 +265,6 @@ func (c Config) validate() error {
 	}
 	if c.CrossCore && c.IdealLLC {
 		return fmt.Errorf("sim: config %q attaches the cross-core prefetcher to the ideal LLC", c.Name)
-	}
-	if c.CoreParallelWorkers < 0 {
-		return fmt.Errorf("sim: config %q has %d parallel workers", c.Name, c.CoreParallelWorkers)
 	}
 	return nil
 }

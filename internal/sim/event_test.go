@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
-	"time"
 
 	"rnrsim/internal/audit"
 	"rnrsim/internal/obs"
@@ -14,11 +14,13 @@ import (
 	"rnrsim/internal/apps"
 )
 
-// exportBytes serialises the full export envelope; the export clock must
-// already be pinned by the caller so generated_at cannot differ.
+// exportBytes serialises the full export envelope minus its wall-clock
+// generated_at stamp, the one field two runs may legitimately differ in.
 func exportBytes(t *testing.T, r *Result) []byte {
 	t.Helper()
-	b, err := json.MarshalIndent(r.Export(), "", "  ")
+	e := r.Export()
+	e.GeneratedAt = ""
+	b, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +44,10 @@ func runEngine(t *testing.T, cfg Config, app *apps.App, stepped bool) (*Result, 
 }
 
 // requireIdentical runs cfg under both engines and fails unless the
-// final Result — state hash included — serialises to byte-identical
-// export envelopes. This is the tentpole's correctness bar: the
-// event-driven scheduler may only skip cycles that are provably inert,
-// so no architectural or statistical state is allowed to differ.
-// Callers must pin the export clock (fixedExportClock) first — in the
-// parent test when subtests run in parallel, so the global is not
-// mutated while children are in flight.
+// final Results — state hash included — are deep-equal and serialise to
+// byte-identical export envelopes. This is the event engine's
+// correctness bar: it may only skip cycles that are provably inert, so
+// no architectural or statistical state is allowed to differ.
 func requireIdentical(t *testing.T, cfg Config, app *apps.App) (*System, *System) {
 	t.Helper()
 	re, se := runEngine(t, cfg, app, false)
@@ -60,56 +59,60 @@ func requireIdentical(t *testing.T, cfg Config, app *apps.App) (*System, *System
 	if !bytes.Equal(be, bs) {
 		t.Errorf("export envelope differs between engines\nevent:   %s\nstepped: %s", be, bs)
 	}
+	if !reflect.DeepEqual(re, rs) {
+		t.Error("results diverged between engines beyond the export")
+	}
 	return se, ss
 }
 
 // TestEventSteppedDifferentialMatrix sweeps the configurations whose
-// wakeup paths differ — every prefetcher family, audit sweeps, the
-// lifecycle observer, the ideal-LLC bar, context switching — and holds
-// the two engines to byte-identical export envelopes on each.
+// wakeup paths differ — every prefetcher family (demand-trained and
+// cycle-driven, MISB's off-chip metadata traffic included), mixed
+// per-core assignments, audit sweeps, the lifecycle observer, the
+// ideal-LLC bar, context switching and a banked LLC — and holds the two
+// engines to byte-identical export envelopes on each.
 func TestEventSteppedDifferentialMatrix(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	app := testApp(t)
-	cases := []struct {
+	type tcase struct {
 		name string
 		cfg  Config
-	}{
+	}
+	cases := []tcase{
 		{"none", testConfig().WithPrefetcher(PFNone)},
 		{"nextline", testConfig().WithPrefetcher(PFNextLine)},
 		{"stream", testConfig().WithPrefetcher(PFStream)},
+		{"misb", testConfig().WithPrefetcher(PFMISB)},
+		{"droplet", testConfig().WithPrefetcher(PFDroplet)},
 		{"rnr", testConfig().WithPrefetcher(PFRnR)},
 		{"rnr-combined", testConfig().WithPrefetcher(PFRnRCombined)},
 	}
+
+	mixed := testConfig()
+	mixed.Name = "test+mixed"
+	mixed.PerCorePrefetchers = []PrefetcherKind{PFRnR, PFNextLine, PFStream, PFNone}
+	cases = append(cases, tcase{"mixed-per-core", mixed})
+
 	audited := testConfig().WithPrefetcher(PFRnR)
 	audited.Audit = &audit.Config{Interval: 256}
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"rnr+audit", audited})
+	cases = append(cases, tcase{"rnr+audit", audited})
 
 	observed := testConfig().WithPrefetcher(PFRnR)
 	observed.Obs = &obs.Config{}
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"rnr+obs", observed})
+	cases = append(cases, tcase{"rnr+obs", observed})
 
 	ideal := testConfig().WithPrefetcher(PFNone)
 	ideal.IdealLLC = true
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"ideal-llc", ideal})
+	cases = append(cases, tcase{"ideal-llc", ideal})
 
 	ctxCfg := testConfig().WithPrefetcher(PFRnR)
 	ctxCfg.CtxSwitch = CtxSwitchConfig{Period: 20_000, Duration: 7_000}
-	cases = append(cases, struct {
-		name string
-		cfg  Config
-	}{"rnr+ctx", ctxCfg})
+	cases = append(cases, tcase{"rnr+ctx", ctxCfg})
+
+	banked := testConfig().WithPrefetcher(PFNextLine)
+	banked.LLCBanks = 2
+	cases = append(cases, tcase{"nextline+2banks", banked})
 
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			requireIdentical(t, tc.cfg, app)
@@ -234,7 +237,6 @@ func TestNextWakeupClampsPastEvents(t *testing.T) {
 // switch-out cycle, so the switch-in wakeup is already in the past when
 // the scheduler sees it. Both engines must agree bit-for-bit.
 func TestCtxSwitchZeroDuration(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	app := testApp(t)
 	cfg := testConfig().WithPrefetcher(PFRnR)
 	cfg.CtxSwitch = CtxSwitchConfig{Period: 5_000, Duration: 0}
@@ -245,7 +247,6 @@ func TestCtxSwitchZeroDuration(t *testing.T) {
 // dozen cycles: the event engine degenerates to dense per-cycle stepping
 // and must stay byte-identical to the stepped engine.
 func TestCtxSwitchStormDegeneratesGracefully(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	fc := audit.FuzzConfig{Seed: 3}.WithDefaults()
 	app := audit.Fuzz(fc)
 	cfg := fuzzMachine(fc.Cores).WithPrefetcher(PFRnR)
@@ -273,7 +274,6 @@ func TestCtxSwitchStormDegeneratesGracefully(t *testing.T) {
 // (cores → L1/L2/prefetch → LLC → DRAM); any reordering would reshuffle
 // queue contents and change the hashed state.
 func TestSimultaneousWakeupsPreserveTickOrder(t *testing.T) {
-	fixedExportClock(t, time.Date(2026, 3, 4, 5, 6, 7, 0, time.UTC))
 	for _, seed := range []int64{5, 17} {
 		fc := audit.FuzzConfig{Seed: seed, Pathological: true}.WithDefaults()
 		app := audit.Fuzz(fc)

@@ -128,7 +128,8 @@ func TestFuzzedHugeIterAuxBounded(t *testing.T) {
 // curated differential matrix cannot provide: every fuzz seed —
 // randomized marker/load interleavings including pathological shapes —
 // runs through both the event-driven and cycle-stepped engines, and the
-// final state hashes and architectural statistics must be identical.
+// final results — state hash, export envelope, every statistic — must
+// be identical.
 // A divergence here is a wakeup-computation bug (a component reported a
 // wakeup later than its true next state change, and the scheduler
 // skipped a cycle that mattered).
@@ -141,37 +142,13 @@ func TestFuzzedTracesEngineDifferential(t *testing.T) {
 		seeds = seeds[:8]
 	}
 	for _, patho := range []bool{false, true} {
-		patho := patho
 		t.Run(fmt.Sprintf("patho=%v", patho), func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
 				fc := audit.FuzzConfig{Seed: seed, Pathological: patho}.WithDefaults()
-				app := audit.Fuzz(fc)
-				run := func(stepped bool) *Result {
-					cfg := fuzzMachine(fc.Cores).WithPrefetcher(PFRnR)
-					cfg.ForceCycleStepped = stepped
-					s, err := New(cfg, app)
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					r, err := s.RunAll()
-					if err != nil {
-						t.Fatalf("seed %d (stepped=%v): %v", seed, stepped, err)
-					}
-					return r
-				}
-				ev, st := run(false), run(true)
-				if ev.StateHash != st.StateHash {
-					t.Errorf("seed %d: state hash event %016x != stepped %016x",
-						seed, ev.StateHash, st.StateHash)
-				}
-				if ev.Cycles != st.Cycles || ev.Instructions != st.Instructions {
-					t.Errorf("seed %d: cycles/instructions diverged: event %d/%d, stepped %d/%d",
-						seed, ev.Cycles, ev.Instructions, st.Cycles, st.Instructions)
-				}
-				if ev.L2 != st.L2 || ev.LLC != st.LLC || ev.DRAM != st.DRAM {
-					t.Errorf("seed %d: memory-system stats diverged between engines", seed)
-				}
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					requireIdentical(t, fuzzMachine(fc.Cores).WithPrefetcher(PFRnR), audit.Fuzz(fc))
+				})
 			}
 		})
 	}

@@ -38,7 +38,6 @@ func normalizeMulticore(r *Result) *Result {
 // 1-bank LLC is the monolithic LLC, so any divergence is a wiring bug.
 func TestMulticoreOneCoreIdentity(t *testing.T) {
 	for _, pf := range []PrefetcherKind{PFNone, PFNextLine, PFRnR} {
-		pf := pf
 		t.Run(string(pf), func(t *testing.T) {
 			legacyApp, err := apps.BuildCores("pagerank", "urand", apps.ScaleTest, 1)
 			if err != nil {
@@ -184,31 +183,20 @@ func TestCoRunAuditClean(t *testing.T) {
 
 // TestCoRunEngineDifferential extends the event-vs-stepped safety net to
 // the full multicore machine: banked LLC wakeups, barrier groups and the
-// cross-core prefetcher must not open a gap between the two engines.
+// cross-core prefetcher must not open a gap between the two engines,
+// with and without the coherence directory filtering the private levels.
 func TestCoRunEngineDifferential(t *testing.T) {
 	app := coRunApp(t)
-	run := func(stepped bool) *Result {
-		cfg := coRunConfig()
-		cfg.ForceCycleStepped = stepped
-		s, err := New(cfg, app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.RunAll()
-		if err != nil {
-			t.Fatalf("stepped=%v: %v", stepped, err)
-		}
-		return r
-	}
-	ev, st := run(false), run(true)
-	if ev.StateHash != st.StateHash {
-		t.Errorf("state hash: event %016x != stepped %016x", ev.StateHash, st.StateHash)
-	}
-	if !reflect.DeepEqual(ev.CoreHashes, st.CoreHashes) {
-		t.Errorf("core sub-hashes diverged: event %v, stepped %v", ev.CoreHashes, st.CoreHashes)
-	}
-	if !reflect.DeepEqual(ev, st) {
-		t.Error("results diverged between engines beyond the hashes")
+	uncoherent := coRunConfig()
+	uncoherent.Coherence = false
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"coherent", coRunConfig()},
+		{"uncoherent", uncoherent},
+	} {
+		t.Run(tc.name, func(t *testing.T) { requireIdentical(t, tc.cfg, app) })
 	}
 }
 

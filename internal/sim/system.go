@@ -116,23 +116,6 @@ type System struct {
 	doneDirty  bool
 	doneCached bool
 	coresDone  bool
-
-	// coreCycle mirrors the cycle a core's private domain is currently
-	// simulating. The per-core issue/metadata closures stamp requests from
-	// it instead of s.cycle: during a parallel domain span (see
-	// parallel.go) each domain runs at its own local cycle while s.cycle
-	// still holds the span's start, and a stale stamp would skew the
-	// lead-time attribution in the flight recorder — a hash-visible
-	// divergence, not a data race. The serial engines keep it equal to
-	// s.cycle, so behaviour is unchanged when spans never form.
-	coreCycle []uint64
-
-	// par is the parallel per-core execution state (nil unless the config
-	// enables CoreParallel and the machine shape permits it). parSpans /
-	// parSpanCycles count executed windows for diagnostics and tests.
-	par           *corePool
-	parSpans      uint64
-	parSpanCycles uint64
 }
 
 // WakeupNever is re-exported for components and tests that interact with
@@ -256,7 +239,6 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	s.coreWakeOK = make([]bool, cfg.Cores)
 	s.l1WakeOK = make([]bool, cfg.Cores)
 	s.l2WakeOK = make([]bool, cfg.Cores)
-	s.coreCycle = make([]uint64, cfg.Cores)
 
 	for c := 0; c < cfg.Cores; c++ {
 		l2cfg := cfg.L2
@@ -561,7 +543,6 @@ func (r *bankRouter) TryEnqueue(req *mem.Request) bool {
 func (s *System) wireCoherence() {
 	s.dir = coherence.NewDirectory(s.cfg.Cores)
 	for c := range s.cores {
-		c := c
 		l1, l2 := s.l1s[c], s.l2s[c]
 		l1.OnAccess = func(ev cache.AccessInfo) {
 			if ev.Type == mem.ReqStore {
@@ -631,18 +612,15 @@ func (s *System) wireCrossCore() {
 // issueFunc returns the prefetch-issue path into core c's L2 (or the
 // shared LLC under the §III destination ablation).
 func (s *System) issueFunc(c int) prefetch.IssueFunc {
-	// Issue stamps read the per-core cycle mirror, not s.cycle: during a
-	// parallel domain span s.cycle lags at the span start while the domain
-	// runs ahead at its own local cycle (see coreCycle).
 	if s.cfg.RnRPrefetchToLLC && len(s.llcs) > 0 {
 		return func(line mem.Addr) bool {
-			req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.coreCycle[c])
+			req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.cycle)
 			return s.llcs[s.bankOf(line)].TryPrefetch(req)
 		}
 	}
 	l2 := s.l2s[c]
 	return func(line mem.Addr) bool {
-		req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.coreCycle[c])
+		req := mem.NewRequest(mem.ReqPrefetch, line, 0, c, s.cycle)
 		return l2.TryPrefetch(req)
 	}
 }
@@ -654,7 +632,7 @@ func (s *System) metaHook(c int) func(write bool, addr mem.Addr) {
 		if write {
 			t = mem.ReqMetaWrite
 		}
-		req := mem.NewRequest(t, addr, 0, c, s.coreCycle[c])
+		req := mem.NewRequest(t, addr, 0, c, s.cycle)
 		// Best effort: a full queue drops the transaction; the traffic
 		// model is what matters for MISB.
 		s.mc.TryEnqueue(req)
@@ -679,7 +657,6 @@ func (s *System) Tick() {
 		}
 	}
 	for c := range s.cores {
-		s.coreCycle[c] = now
 		s.l1s[c].Tick(now)
 		s.l2s[c].Tick(now)
 		if s.cycleDriven[c] {
@@ -820,7 +797,6 @@ func (s *System) tickGated() {
 		}
 	}
 	for c := range s.cores {
-		s.coreCycle[c] = now
 		if s.l1WakeAt(c, prev) <= now {
 			s.l1WakeOK[c] = false
 			// Core.Wakeup probes L1 demand capacity; an L1 tick may free
@@ -1062,10 +1038,6 @@ func (s *System) runCycleStepped(ctx context.Context, maxCycles uint64) error {
 // Core.SkipIdle (stall/cycle counters) and the AdvanceClock calls
 // (internal clock stamps), after which the regular Tick runs unchanged.
 func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
-	if s.parallelEligible() {
-		s.startPool()
-		defer s.stopPool()
-	}
 	for !s.Done() {
 		if err := ctx.Err(); err != nil {
 			runsCancelled.Inc()
@@ -1081,12 +1053,6 @@ func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
 			limit := batchEnd
 			if maxCycles < limit {
 				limit = maxCycles
-			}
-			if s.par != nil {
-				if t := s.quietHorizon(limit); t > 0 {
-					s.runSpan(t)
-					continue
-				}
 			}
 			s.advanceTo(s.nextWakeup(limit))
 		}

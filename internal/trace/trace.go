@@ -162,29 +162,6 @@ type Source interface {
 	Next() (rec Record, ok bool)
 }
 
-// Lookahead is optionally implemented by sources that can inspect the
-// records they have not yet yielded. The parallel per-core scheduler
-// (internal/sim) uses it to bound how long a core can run on its own
-// goroutine before it could next touch shared machine state: a core
-// executing an Exec bundle is provably private until the bundle's last
-// instruction, so the distance to the next memory access or marker is a
-// safe independence horizon.
-type Lookahead interface {
-	// ScanUnits reports conservative fetch-unit distances from the
-	// source's current position, without consuming records: memU units
-	// must be fetched before the first load/store record could dispatch,
-	// markU before the first marker record, and drainU before the trace
-	// can drain. Exec records contribute their instruction count;
-	// every other record contributes one unit. A distance whose record
-	// is not found within limit units is reported as limit — "at least
-	// limit", which is all the scheduler needs — so implementations stop
-	// scanning at limit and the scan cost is bounded by the window being
-	// sized, not the trace length. Each value is a lower bound: the
-	// true distance may be larger (structural stalls only delay
-	// dispatch), never smaller.
-	ScanUnits(limit uint64) (memU, markU, drainU uint64)
-}
-
 // SliceSource adapts an in-memory record slice to a Source.
 type SliceSource struct {
 	recs []Record
@@ -202,46 +179,6 @@ func (s *SliceSource) Next() (Record, bool) {
 	r := s.recs[s.pos]
 	s.pos++
 	return r, true
-}
-
-// ScanUnits implements Lookahead over the in-memory record slice. The scan
-// keeps going past the first load/store (consuming one unit for it) so that
-// a marker hiding right behind a memory access is still reported at its true
-// distance — a core can dispatch several records in one fetch tick, so the
-// first marker's distance must be measured independently of the first
-// memory access.
-func (s *SliceSource) ScanUnits(limit uint64) (memU, markU, drainU uint64) {
-	memU, markU, drainU = limit, limit, limit
-	var u uint64
-	haveMem := false
-	for i := s.pos; i < len(s.recs); i++ {
-		if u >= limit {
-			return
-		}
-		r := s.recs[i]
-		switch r.Kind {
-		case KindExec:
-			u += r.Count
-		case KindLoad, KindStore:
-			if !haveMem {
-				haveMem = true
-				memU = u
-			}
-			u++
-		default:
-			// Markers — and, conservatively, any future record kind —
-			// terminate the scan at distance u.
-			markU = u
-			if !haveMem {
-				memU = u
-			}
-			return
-		}
-	}
-	if u < limit {
-		drainU = u
-	}
-	return
 }
 
 // Reset rewinds the source to the beginning of the trace.
