@@ -22,10 +22,16 @@ type Artifact struct {
 
 // Bench is one benchmark's measurements: the standard testing metrics
 // plus any custom b.ReportMetric units (cycles/s, ...), keyed by unit.
+// A benchmark run with `go test -count N` prints N lines; Metrics then
+// holds each unit's median over them, Samples the number of lines and
+// Iters the last line's iteration count. Artifacts written before
+// repeats were kept have no samples field and load with Samples 0,
+// meaning one.
 type Bench struct {
 	Name    string             `json:"name"`
 	Iters   uint64             `json:"iters"`
 	Metrics map[string]float64 `json:"metrics"`
+	Samples int                `json:"samples,omitempty"`
 }
 
 // gomaxprocsSuffix strips the "-8" GOMAXPROCS tail from a benchmark
@@ -38,11 +44,12 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 //	BenchmarkName-8   100   123 ns/op   5.0e+06 cycles/s   16 B/op   2 allocs/op
 //
 // interleaved with ok/PASS noise, which is skipped. A benchmark that
-// appears more than once (same name from several packages, or -count >
-// 1) keeps the later measurement.
+// appears more than once (-count > 1) is one benchmark with that many
+// samples, reduced to per-unit medians.
 func parseBenchOutput(r io.Reader) (Artifact, error) {
 	var art Artifact
 	index := map[string]int{}
+	var samples []map[string][]float64 // per benchmark: unit -> values
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -58,32 +65,49 @@ func parseBenchOutput(r io.Reader) (Artifact, error) {
 		if err != nil {
 			continue
 		}
-		b := Bench{
-			Name:    gomaxprocsSuffix.ReplaceAllString(strings.TrimPrefix(fields[0], "Benchmark"), ""),
-			Iters:   iters,
-			Metrics: map[string]float64{},
+		name := gomaxprocsSuffix.ReplaceAllString(strings.TrimPrefix(fields[0], "Benchmark"), "")
+		at, ok := index[name]
+		if !ok {
+			at = len(art.Benchmarks)
+			index[name] = at
+			art.Benchmarks = append(art.Benchmarks, Bench{Name: name})
+			samples = append(samples, map[string][]float64{})
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return art, fmt.Errorf("bad metric value in %q", line)
 			}
-			b.Metrics[fields[i+1]] = v
+			samples[at][fields[i+1]] = append(samples[at][fields[i+1]], v)
 		}
-		if at, ok := index[b.Name]; ok {
-			art.Benchmarks[at] = b
-			continue
-		}
-		index[b.Name] = len(art.Benchmarks)
-		art.Benchmarks = append(art.Benchmarks, b)
+		art.Benchmarks[at].Iters = iters
+		art.Benchmarks[at].Samples++
 	}
 	if err := sc.Err(); err != nil {
 		return art, err
+	}
+	for at := range art.Benchmarks {
+		metrics := make(map[string]float64, len(samples[at]))
+		for unit, vs := range samples[at] {
+			metrics[unit] = median(vs)
+		}
+		art.Benchmarks[at].Metrics = metrics
 	}
 	sort.Slice(art.Benchmarks, func(i, j int) bool {
 		return art.Benchmarks[i].Name < art.Benchmarks[j].Name
 	})
 	return art, nil
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count), reordering vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // higherIsBetter classifies a metric unit's good direction: rates

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -45,14 +46,46 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
-func TestParseKeepsLaterDuplicate(t *testing.T) {
-	text := "BenchmarkX-4 1 100 ns/op\nBenchmarkX-4 1 50 ns/op\n"
+func TestParseTakesMedianOfRepeats(t *testing.T) {
+	// go test -count 3 prints three lines per benchmark; an even count
+	// takes the mean of the middle pair.
+	text := "BenchmarkX-4 1 100 ns/op 1e6 cycles/s\n" +
+		"BenchmarkX-4 1 50 ns/op 3e6 cycles/s\n" +
+		"BenchmarkY-4 5 10 ns/op\n" +
+		"BenchmarkX-4 2 70 ns/op 2e6 cycles/s\n" +
+		"BenchmarkY-4 5 20 ns/op\n"
 	art, err := parseBenchOutput(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(art.Benchmarks) != 1 || art.Benchmarks[0].Metrics["ns/op"] != 50 {
-		t.Errorf("duplicates not collapsed to the later run: %+v", art.Benchmarks)
+	if len(art.Benchmarks) != 2 {
+		t.Fatalf("repeats not collapsed: %+v", art.Benchmarks)
+	}
+	x, y := art.Benchmarks[0], art.Benchmarks[1]
+	if x.Samples != 3 || x.Metrics["ns/op"] != 70 || x.Metrics["cycles/s"] != 2e6 || x.Iters != 2 {
+		t.Errorf("X = %+v, want 3 samples, medians 70 ns/op and 2e6 cycles/s, last iters 2", x)
+	}
+	if y.Samples != 2 || y.Metrics["ns/op"] != 15 {
+		t.Errorf("Y = %+v, want 2 samples, median 15 ns/op", y)
+	}
+}
+
+func TestArtifactWithoutSamplesStillLoads(t *testing.T) {
+	// The BENCH_*.json shape written before repeats were kept.
+	legacy := `{"schema_version":"rnrsim.v1","benchmarks":[{"name":"X","iters":1,"metrics":{"ns/op":100}}]}`
+	var a Artifact
+	if err := json.Unmarshal([]byte(legacy), &a); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Benchmarks) != 1 || a.Benchmarks[0].Samples != 0 || a.Benchmarks[0].Metrics["ns/op"] != 100 {
+		t.Fatalf("legacy artifact = %+v", a.Benchmarks)
+	}
+	out, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(out), "samples") {
+		t.Errorf("legacy bench re-encoded with a samples field: %s", out)
 	}
 }
 

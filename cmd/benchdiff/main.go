@@ -10,6 +10,9 @@
 //	benchdiff BENCH_fc150d6.json BENCH_new.json              # default 10% threshold
 //	benchdiff -threshold 0.5 BENCH_fc150d6.json BENCH_new.json
 //
+// With `go test -count N` each benchmark prints N lines; -parse stores
+// each metric's median over them and the sample count.
+//
 // Comparison is direction-aware: for throughput metrics (any unit
 // ending in "/s", e.g. the simulator's cycles/s) lower is a regression;
 // for cost metrics (ns/op, B/op, allocs/op) higher is. Benchmarks

@@ -173,11 +173,11 @@ type Cache struct {
 	mshrFree []*mshr       // retired MSHRs available for reuse
 	wbArena  []mem.Request // chunk allocator for eviction writebacks
 	unsent   []*mshr       // MSHRs whose child could not be enqueued below yet
-	// wakeDirty is set whenever the cache receives external input (an
-	// enqueue from above, a fill from below, an invalidation) — anything
-	// that can move its Wakeup earlier. The event scheduler clears it
-	// when it recomputes the cached wakeup; see TakeWakeDirty.
-	wakeDirty bool
+	// wake is the scheduler's cached-wakeup slot for this cache (see
+	// SetWakeSlot). It is zeroed, meaning "recompute", whenever the cache
+	// receives external input (an enqueue from above, a fill from below,
+	// an invalidation) — anything that can move its Wakeup earlier.
+	wake *uint64
 	// mshrAllocs counts every MSHR ever allocated; the audit layer checks
 	// the conservation law mshrAllocs == MissServiceCnt + len(mshrs)
 	// (every miss is either filled or still in flight).
@@ -209,12 +209,17 @@ func New(cfg Config) *Cache {
 		nsets:   n,
 		setMask: mem.Addr(n - 1),
 		mshrs:   make([]*mshr, 0, cfg.MSHRs),
+		wake:    new(uint64),
 	}
 	for i := range c.sets {
 		c.sets[i].tag = invalidTag
 	}
 	return c
 }
+
+// SetWakeSlot points the cache at the event scheduler's cached-wakeup
+// slot, which the cache zeroes on every external input.
+func (c *Cache) SetWakeSlot(slot *uint64) { c.wake = slot }
 
 // SetLower connects the next level down (another cache or the DRAM
 // controller).
@@ -287,7 +292,7 @@ func (c *Cache) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.writeQ.pushBack(queued{r, c.clock + c.cfg.Latency})
-		c.wakeDirty = true
+		*c.wake = 0
 	case mem.ReqPrefetch:
 		return c.TryPrefetch(r)
 	default:
@@ -295,7 +300,7 @@ func (c *Cache) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.readQ.pushBack(queued{r, c.clock + c.cfg.Latency})
-		c.wakeDirty = true
+		*c.wake = 0
 	}
 	return true
 }
@@ -318,7 +323,7 @@ func (c *Cache) TryPrefetch(r *mem.Request) bool {
 		return false
 	}
 	c.prefQ.pushBack(queued{r, c.clock + c.cfg.Latency})
-	c.wakeDirty = true
+	*c.wake = 0
 	c.Stats.PrefetchIssued++
 	return true
 }
@@ -389,16 +394,6 @@ func (c *Cache) Wakeup(now uint64) uint64 {
 // behind (Tick sets the clock before its idle early-exit, so this is
 // the only effect the skipped ticks had).
 func (c *Cache) AdvanceClock(now uint64) { c.clock = now }
-
-// TakeWakeDirty reports and clears the external-input flag. The event
-// scheduler calls it when deciding whether a cached Wakeup value is
-// still valid; everything that can move the wakeup earlier (TryEnqueue,
-// TryPrefetch, fill, InvalidateAll) sets the flag.
-func (c *Cache) TakeWakeDirty() bool {
-	d := c.wakeDirty
-	c.wakeDirty = false
-	return d
-}
 
 // Tick advances the cache by one cycle: it retries blocked miss traffic,
 // performs up to Bandwidth lookups (demand before prefetch) and forwards
@@ -614,7 +609,7 @@ func (c *Cache) retryUnsent() {
 
 // fill installs the line delivered by the lower level and wakes waiters.
 func (c *Cache) fill(m *mshr, now uint64) {
-	c.wakeDirty = true
+	*c.wake = 0
 	c.removeMSHR(m)
 	c.Stats.MissServiceSum += now - m.allocAt
 	c.Stats.MissServiceCnt++
@@ -827,7 +822,7 @@ func (c *Cache) Invalidate(lineAddr mem.Addr) bool {
 	set := c.setSlice(lineAddr)
 	for i := range set {
 		if set[i].tag == lineAddr {
-			c.wakeDirty = true
+			*c.wake = 0
 			if c.Lifecycle != nil && set[i].prefetched {
 				c.Lifecycle.PrefetchEvictedUnused(lineAddr, c.clock)
 			}
@@ -855,7 +850,7 @@ func (c *Cache) ForEachResident(fn func(line mem.Addr)) {
 // are dropped without writeback traffic; the cost modelled is the warm-up
 // misses afterwards, which §IV-C identifies as the dominant penalty.
 func (c *Cache) InvalidateAll() {
-	c.wakeDirty = true
+	*c.wake = 0
 	for i := range c.sets {
 		// Invalidation ends the lifecycle of still-unused prefetched
 		// lines exactly like an eviction would; without this the flight

@@ -34,7 +34,8 @@ func TestInvalidateDropsSingleLine(t *testing.T) {
 	a, b := mem.Addr(0x1000), mem.Addr(0x2000)
 	fillLine(t, c, a)
 	fillLine(t, c, b)
-	c.TakeWakeDirty()
+	slot := uint64(42) // a cached wakeup
+	c.SetWakeSlot(&slot)
 	if !c.Invalidate(a) {
 		t.Fatal("Invalidate of a resident line returned false")
 	}
@@ -44,11 +45,15 @@ func TestInvalidateDropsSingleLine(t *testing.T) {
 	if !c.Lookup(b) {
 		t.Fatal("Invalidate dropped an unrelated line")
 	}
-	if !c.TakeWakeDirty() {
-		t.Fatal("Invalidate did not set the wake-dirty flag")
+	if slot != 0 {
+		t.Fatal("Invalidate did not zero the cached wakeup slot")
 	}
+	slot = 42
 	if c.Invalidate(a) {
 		t.Fatal("Invalidate of an absent line returned true")
+	}
+	if slot != 42 {
+		t.Fatal("Invalidate of an absent line zeroed the cached wakeup slot")
 	}
 }
 

@@ -99,7 +99,14 @@ type Core struct {
 	opArena      []memOp      // chunk allocator for memOps
 	opFree       []*memOp     // completed memOps available for reuse
 	drained      bool
-	wakeDirty    bool // external completion arrived; see TakeWakeDirty
+
+	// wake is the scheduler's cached-wakeup slot for this core (see
+	// SetWakeSlot); a memory completion zeroes it, meaning "recompute".
+	wake *uint64
+	// settled is the last cycle whose per-cycle accounting is charged;
+	// held suspends charging while the process is descheduled. See Settle.
+	settled uint64
+	held    bool
 
 	Stats Stats
 
@@ -124,7 +131,7 @@ func New(id int, cfg Config, src trace.Source, l1 mem.Backend) *Core {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	c := &Core{ID: id, cfg: cfg, l1: l1, src: src, rob: make([]robEntry, cfg.ROB)}
+	c := &Core{ID: id, cfg: cfg, l1: l1, src: src, rob: make([]robEntry, cfg.ROB), wake: new(uint64)}
 	c.l1Cap, _ = l1.(mem.DemandCapacity)
 	return c
 }
@@ -135,8 +142,18 @@ func (c *Core) Done() bool {
 	return c.drained && c.count == 0 && c.pendingExec == 0 && !c.pendingValid
 }
 
-// Tick advances the core one cycle: retire, then fetch/dispatch.
+// SetWakeSlot points the core at the scheduler's cached-wakeup slot.
+// The core zeroes it whenever external input — a memory completion —
+// may have moved its Wakeup earlier.
+func (c *Core) SetWakeSlot(slot *uint64) { c.wake = slot }
+
+// Tick advances the core one cycle: retire, then fetch/dispatch. Cycles
+// skipped since the core last ran are charged first (see Settle).
 func (c *Core) Tick(now uint64) {
+	if now > c.settled+1 {
+		c.Settle(now - 1)
+	}
+	c.settled = now
 	if c.Done() {
 		return
 	}
@@ -152,7 +169,7 @@ func (c *Core) Tick(now uint64) {
 //
 // Per-cycle stall counters (Cycles, FetchStalls, ROBStallCyc) are NOT
 // wakeup conditions: they advance deterministically over a frozen span
-// and the scheduler charges them in one batch via SkipIdle.
+// and are charged in one batch by Settle.
 func (c *Core) Wakeup(now uint64) uint64 {
 	if c.Done() {
 		return mem.WakeupNever
@@ -166,8 +183,8 @@ func (c *Core) Wakeup(now uint64) uint64 {
 			w = e.doneAt // retirement timer (exec latency)
 		}
 		// Head not done: a load waiting on memory. Its completion is a
-		// callback during some other component's tick; wakeups are
-		// recomputed after every tick, so nothing to schedule here.
+		// callback that zeroes this core's wake slot, so nothing to
+		// schedule here.
 	}
 	if c.Gate != nil && !c.Gate() {
 		return w // fetch gated at the barrier: only retirement progresses
@@ -182,11 +199,12 @@ func (c *Core) Wakeup(now uint64) uint64 {
 		// L1 backpressure. The dispatch retry runs every cycle, but a
 		// retry against a still-full read queue provably fails without
 		// side effects beyond the per-cycle FetchStalls count (charged by
-		// SkipIdle): the rejection is pure, the tail-slot rewrite is
+		// Settle): the rejection is pure, the tail-slot rewrite is
 		// outside the architectural window, and the retry closure is
 		// rebuilt from scratch on the attempt that finally lands. So only
 		// wake when the L1 could admit the request; the queue frees a
-		// slot during an L1 tick, after which wakeups are recomputed.
+		// slot during an L1 tick, after which the scheduler recomputes
+		// this wakeup (see Backpressured).
 		if c.l1Cap == nil || c.l1Cap.CanAcceptDemand() {
 			return now + 1
 		}
@@ -205,25 +223,24 @@ func (c *Core) Wakeup(now uint64) uint64 {
 	return w
 }
 
-// TakeWakeDirty reports and clears the external-input flag, set when a
-// memory completion callback touched the core (ROB head done, LSQ slot
-// freed). The event scheduler uses it to know when the core's cached
-// wakeup may have moved earlier.
-func (c *Core) TakeWakeDirty() bool {
-	d := c.wakeDirty
-	c.wakeDirty = false
-	return d
-}
-
-// SkipIdle charges n skipped cycles' worth of per-cycle accounting in
-// one batch. The caller (the event-driven scheduler) guarantees the
-// core's state is frozen over the span: no retirement, no dispatch, no
-// completion — exactly the cycles Wakeup said nothing happens on. What
-// a frozen Tick still does is count: Cycles always, ROBStallCyc and
-// FetchStalls when retire/fetch are blocked. The conditions mirror one
-// frozen Tick body, so n batched calls hash identically to n real ones.
-func (c *Core) SkipIdle(n uint64) {
-	if n == 0 || c.Done() {
+// Settle charges the skipped cycles (settled, to] in one batch. The
+// event scheduler skips a frozen core's Tick — no retirement, no
+// dispatch, no completion, exactly the cycles Wakeup said nothing
+// happens on — and only the per-cycle counters a frozen Tick would have
+// bumped are owed: Cycles always, ROBStallCyc and FetchStalls when
+// retire/fetch are blocked. The caller settles before anything that
+// changes those conditions (the core's own Tick, a memory completion, a
+// barrier gate flip, a context switch) and before anything that reads
+// Stats, so the whole span saw one state and a batched charge hashes
+// identically to the per-cycle one. Cycles at or before the last
+// settled one, and cycles while held, are never charged.
+func (c *Core) Settle(to uint64) {
+	if to <= c.settled {
+		return
+	}
+	n := to - c.settled
+	c.settled = to
+	if c.held || c.Done() {
 		return
 	}
 	c.Stats.Cycles += n
@@ -247,6 +264,22 @@ func (c *Core) SkipIdle(n uint64) {
 	}
 }
 
+// Hold settles the core through cycle to and then suspends charging
+// (held) or resumes it. A descheduled process's cores neither tick nor
+// count cycles; the context-switch injector holds them at switch-out
+// and releases them at switch-in, each time through the cycle before
+// the switch.
+func (c *Core) Hold(to uint64, held bool) {
+	c.Settle(to)
+	c.held = held
+}
+
+// Backpressured reports whether the core holds a built request the L1
+// has not yet accepted — the one state in which its Wakeup reads L1
+// demand capacity, so an L1 tick that frees read-queue space can move
+// it earlier.
+func (c *Core) Backpressured() bool { return c.pendingReq != nil }
+
 func (c *Core) retire(now uint64) {
 	retired := 0
 	for retired < c.cfg.RetireWidth && c.count > 0 {
@@ -254,7 +287,9 @@ func (c *Core) retire(now uint64) {
 		if !e.done || e.doneAt > now {
 			break
 		}
-		c.head = (c.head + 1) % c.cfg.ROB
+		if c.head++; c.head == c.cfg.ROB {
+			c.head = 0
+		}
 		c.count--
 		c.Stats.Instructions++
 		retired++
@@ -327,7 +362,15 @@ func (c *Core) nextRecord() *trace.Record {
 
 func (c *Core) pushExec(now uint64) {
 	c.rob[c.tail] = robEntry{done: true, doneAt: now + c.cfg.ExecLatency}
-	c.tail = (c.tail + 1) % c.cfg.ROB
+	c.advanceTail()
+}
+
+// advanceTail claims the ROB slot at tail. The ring wraps by compare
+// rather than modulo: ROB is a runtime value, so % would be a divide.
+func (c *Core) advanceTail() {
+	if c.tail++; c.tail == c.cfg.ROB {
+		c.tail = 0
+	}
 	c.count++
 }
 
@@ -354,7 +397,10 @@ type memOp struct {
 // slot is safe — loads cannot retire before their own completion.
 func (o *memOp) done(cycle uint64) {
 	c := o.c
-	c.wakeDirty = true
+	// Completions arrive from cache ticks, after every core's slot in the
+	// cycle, so the frozen span to charge ends at the completion cycle.
+	c.Settle(cycle)
+	*c.wake = 0
 	if o.isLoad {
 		c.rob[o.slot].done = true
 		c.rob[o.slot].doneAt = cycle
@@ -439,8 +485,7 @@ func (c *Core) dispatchMem(rec *trace.Record, now uint64) bool {
 	}
 	c.pendingOp = nil
 	c.pendingReq = nil
-	c.tail = (c.tail + 1) % c.cfg.ROB
-	c.count++
+	c.advanceTail()
 	c.lsqUsed++
 	if isLoad {
 		c.Stats.Loads++
@@ -452,8 +497,7 @@ func (c *Core) dispatchMem(rec *trace.Record, now uint64) bool {
 
 func (c *Core) dispatchMarker(rec *trace.Record, now uint64) {
 	c.rob[c.tail] = robEntry{marker: true, done: true, doneAt: now + c.cfg.ExecLatency}
-	c.tail = (c.tail + 1) % c.cfg.ROB
-	c.count++
+	c.advanceTail()
 	c.Stats.Markers++
 	if c.OnMarker != nil {
 		c.OnMarker(*rec, now)

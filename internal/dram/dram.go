@@ -108,8 +108,13 @@ type Controller struct {
 	busFreeAt []uint64 // per channel
 	lastWrite []bool   // per channel: direction of last transfer, for turnaround
 	draining  bool
-	burstLeft int  // writes remaining in the current drain burst
-	wakeDirty bool // external enqueue arrived; see TakeWakeDirty
+	burstLeft int // writes remaining in the current drain burst
+	// nextFinish is the earliest finish cycle in inService (WakeupNever
+	// when empty), so complete and Wakeup need no scan on most cycles.
+	nextFinish uint64
+	// wake is the event scheduler's cached-wakeup slot (see SetWakeSlot),
+	// zeroed on every accepted enqueue.
+	wake *uint64
 	// Power-of-two address-decode fast path (see New).
 	fastAddr  bool
 	drainHi   int // precomputed watermark: int(WriteQ*DrainHigh)
@@ -141,10 +146,12 @@ func New(cfg Config) *Controller {
 		cfg.Channels = 1
 	}
 	c := &Controller{
-		cfg:       cfg,
-		banks:     make([]bank, cfg.Banks*cfg.Channels),
-		busFreeAt: make([]uint64, cfg.Channels),
-		lastWrite: make([]bool, cfg.Channels),
+		cfg:        cfg,
+		banks:      make([]bank, cfg.Banks*cfg.Channels),
+		busFreeAt:  make([]uint64, cfg.Channels),
+		lastWrite:  make([]bool, cfg.Channels),
+		nextFinish: mem.WakeupNever,
+		wake:       new(uint64),
 	}
 	// Address decode runs on every scheduling scan; when the geometry is
 	// all powers of two (every shipped config) the three divisions reduce
@@ -215,7 +222,7 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.writeQ = append(c.writeQ, r)
-		c.wakeDirty = true
+		*c.wake = 0
 		r.Complete(c.clock) // posted write
 		return true
 	default:
@@ -224,19 +231,14 @@ func (c *Controller) TryEnqueue(r *mem.Request) bool {
 			return false
 		}
 		c.readQ = append(c.readQ, r)
-		c.wakeDirty = true
+		*c.wake = 0
 		return true
 	}
 }
 
-// TakeWakeDirty reports and clears the external-input flag (set on
-// every accepted enqueue). The event scheduler uses it to know when the
-// controller's cached wakeup may have moved earlier.
-func (c *Controller) TakeWakeDirty() bool {
-	d := c.wakeDirty
-	c.wakeDirty = false
-	return d
-}
+// SetWakeSlot points the controller at the event scheduler's
+// cached-wakeup slot, which every accepted enqueue zeroes.
+func (c *Controller) SetWakeSlot(slot *uint64) { c.wake = slot }
 
 // ReadQLen and WriteQLen expose occupancy for tests and adaptive clients.
 func (c *Controller) ReadQLen() int { return len(c.readQ) }
@@ -289,12 +291,7 @@ func (c *Controller) Wakeup(now uint64) uint64 {
 	if c.burstLeft > 0 && len(c.writeQ) == 0 {
 		return now + 1 // stale burst credit is cleared next tick
 	}
-	w := mem.WakeupNever
-	for _, p := range c.inService {
-		if p.finish < w {
-			w = p.finish
-		}
-	}
+	w := c.nextFinish
 	// Reads issue as soon as a bank is ready, provided a service slot is
 	// free (slot exhaustion resolves at a finish time, already counted).
 	if len(c.inService) <= c.cfg.MaxInFlight {
@@ -331,6 +328,10 @@ func (c *Controller) Wakeup(now uint64) uint64 {
 func (c *Controller) AdvanceClock(now uint64) { c.clock = now }
 
 func (c *Controller) complete(now uint64) {
+	if c.nextFinish > now {
+		return
+	}
+	next := mem.WakeupNever
 	kept := c.inService[:0]
 	for _, p := range c.inService {
 		if p.finish <= now {
@@ -338,9 +339,13 @@ func (c *Controller) complete(now uint64) {
 			p.req.Complete(now)
 		} else {
 			kept = append(kept, p)
+			if p.finish < next {
+				next = p.finish
+			}
 		}
 	}
 	c.inService = kept
+	c.nextFinish = next
 }
 
 func (c *Controller) updateDrainState() {
@@ -430,6 +435,9 @@ func (c *Controller) issueRead(now uint64, demandOnly bool) bool {
 		finish := c.serve(r.Line, now, false)
 		c.account(r)
 		c.inService = append(c.inService, pending{r, finish})
+		if finish < c.nextFinish {
+			c.nextFinish = finish
+		}
 		return true
 	}
 	return false

@@ -16,11 +16,11 @@ package mem
 //     returning a later one is a correctness bug.
 //   - A wakeup value <= now means "as soon as possible" and is treated
 //     by the scheduler as now+1, never skipped.
-//   - Wakeups are recomputed after every simulated cycle, so a
-//     component whose next change is triggered by a completion
-//     callback may report WakeupNever: the callback can only fire
-//     during some component's tick, after which all wakeups are
-//     re-evaluated.
+//   - The scheduler caches each wakeup and recomputes it after the
+//     component ticks or receives external input (an enqueue, a fill, a
+//     completion callback zeroes the component's wake-table slot), so a
+//     component whose next change is triggered by such input may report
+//     WakeupNever.
 const WakeupNever = ^uint64(0)
 
 // DemandCapacity is optionally implemented by backends whose demand

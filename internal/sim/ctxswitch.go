@@ -75,6 +75,8 @@ func (cs *ctxSwitch) switchOut(s *System, now uint64) {
 	cs.saved = cs.saved[:0]
 	cs.hasSaved = cs.hasSaved[:0]
 	for c := range s.cores {
+		// Descheduled cores neither tick nor count cycles from now on.
+		s.cores[c].Hold(now-1, true)
 		// The OS pauses an active record/replay (§IV-C) and saves the
 		// architectural + internal registers.
 		if e := s.engines[c]; e != nil {
@@ -94,6 +96,7 @@ func (cs *ctxSwitch) switchIn(s *System, now uint64) {
 	// One span per descheduling episode (nil-safe when telemetry is off).
 	s.tel.Span("sched", "switched-out", cs.outStart, now)
 	for c := range s.cores {
+		s.cores[c].Hold(now-1, false)
 		// The other process polluted the private caches.
 		s.l1s[c].InvalidateAll()
 		s.l2s[c].InvalidateAll()

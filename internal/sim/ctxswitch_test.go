@@ -99,3 +99,27 @@ func TestContextSwitchDisabledByDefault(t *testing.T) {
 		t.Error("zero-period config changed behaviour")
 	}
 }
+
+// TestDescheduledCyclesNotCharged pins that a switched-out process's
+// cores count no cycles, on either engine: both charge skipped cycles
+// lazily (cpu.Core.Settle), so an accounting that forgot to hold the
+// cores over a descheduled window would agree with itself across the
+// engines while still charging the window.
+func TestDescheduledCyclesNotCharged(t *testing.T) {
+	app := testApp(t)
+	cfg := testConfig().WithPrefetcher(PFNone)
+	cfg.CtxSwitch = CtxSwitchConfig{Period: 10_000, Duration: 100_000}
+	for _, stepped := range []bool{false, true} {
+		r, s := runEngine(t, cfg, app, stepped)
+		out := s.ctx.switches * cfg.CtxSwitch.Duration
+		if out == 0 {
+			t.Fatal("the run never switched out")
+		}
+		for c, st := range r.CoreStats {
+			if st.Cycles+out > r.Cycles {
+				t.Errorf("stepped=%v core %d: %d cycles counted + %d descheduled > %d run cycles",
+					stepped, c, st.Cycles, out, r.Cycles)
+			}
+		}
+	}
+}

@@ -145,34 +145,56 @@ func TestEventEngineSkipsCycles(t *testing.T) {
 // event engine lands on cycles past a sampleEvery multiple, and the
 // sampler must still stamp the exact multiples the stepped engine does.
 // The whole JSONL series — stamps and values — must be byte-identical.
+// The cpu<N>.ipc probe reads Stats.Cycles mid-span, so the off-grid
+// interval rows also pin the lazy idle accounting: a skipped core's
+// cycles must be settled, exactly once, before every sample — across
+// descheduled windows and across a co-run's independent barrier groups.
 func TestTelemetrySampleCyclesIdentical(t *testing.T) {
 	app := testApp(t)
-	const interval = 1000
-	series := func(stepped bool) []byte {
-		cfg := testConfig().WithPrefetcher(PFRnR)
-		rec := telemetry.New(telemetry.Config{SampleInterval: interval})
-		cfg.Telemetry = rec
-		runEngine(t, cfg, app, stepped)
-		var buf bytes.Buffer
-		if err := rec.WriteMetricsJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	ev, st := series(false), series(true)
-	if !bytes.Equal(ev, st) {
-		t.Errorf("telemetry JSONL differs between engines\nevent:   %.512s\nstepped: %.512s", ev, st)
-	}
-	// And the stamps sit on the sample grid (bar the final post-drain row).
-	lines := bytes.Split(bytes.TrimSpace(ev), []byte("\n"))
-	for i, ln := range lines {
-		var row map[string]float64
-		if err := json.Unmarshal(ln, &row); err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		if c := uint64(row["cycle"]); c%interval != 0 && i != len(lines)-1 {
-			t.Errorf("row %d stamped off-grid cycle %d (interval %d)", i, c, interval)
-		}
+	rnrCfg := testConfig().WithPrefetcher(PFRnR)
+	ctxCfg := testConfig().WithPrefetcher(PFRnR)
+	ctxCfg.CtxSwitch = CtxSwitchConfig{Period: 10_000, Duration: 100_000}
+	for _, tc := range []struct {
+		name     string
+		interval uint64
+		cfg      Config
+		app      *apps.App
+	}{
+		{"rnr", 1000, rnrCfg, app},
+		{"rnr/off-grid", 97, rnrCfg, app},
+		{"rnr+ctx/off-grid", 97, ctxCfg, app},
+		{"corun/off-grid", 97, coRunConfig(), coRunApp(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			series := func(stepped bool) []byte {
+				cfg := tc.cfg
+				rec := telemetry.New(telemetry.Config{SampleInterval: tc.interval})
+				cfg.Telemetry = rec
+				runEngine(t, cfg, tc.app, stepped)
+				var buf bytes.Buffer
+				if err := rec.WriteMetricsJSONL(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			ev, st := series(false), series(true)
+			if !bytes.Equal(ev, st) {
+				t.Errorf("telemetry JSONL differs between engines\nevent:   %.512s\nstepped: %.512s", ev, st)
+			}
+			// And the stamps sit on the sample grid (bar the final
+			// post-drain row).
+			lines := bytes.Split(bytes.TrimSpace(ev), []byte("\n"))
+			for i, ln := range lines {
+				var row map[string]float64
+				if err := json.Unmarshal(ln, &row); err != nil {
+					t.Fatalf("row %d: %v", i, err)
+				}
+				if c := uint64(row["cycle"]); c%tc.interval != 0 && i != len(lines)-1 {
+					t.Errorf("row %d stamped off-grid cycle %d (interval %d)", i, c, tc.interval)
+				}
+			}
+		})
 	}
 }
 

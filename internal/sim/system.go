@@ -92,23 +92,17 @@ type System struct {
 	nextAuditAt  uint64 // next audit sweep event (WakeupNever when off)
 	ticked       uint64 // cycles actually simulated (diagnostics/tests only)
 
-	// Cached per-component wakeups. A cached value stays valid until the
-	// component ticks (the scheduler clears the OK flag) or receives
-	// external input (the component sets its wake-dirty flag, checked at
-	// every use via TakeWakeDirty). Cores additionally invalidate when
-	// their L1 ticks (Core.Wakeup probes L1 demand capacity) and when the
-	// iteration barrier opens or a context switch fires (both change the
-	// fetch gate without touching the core).
-	coreWake   []uint64
-	l1Wake     []uint64
-	l2Wake     []uint64
-	llcWake    []uint64
-	mcWake     uint64
-	coreWakeOK []bool
-	l1WakeOK   []bool
-	l2WakeOK   []bool
-	llcWakeOK  []bool
-	mcWakeOK   bool
+	// The wake table: each component's cached wakeup in tick order —
+	// cores, each core's L1 and L2, LLC banks, DRAM — with 0 meaning
+	// "recompute" (a real wakeup is never 0). The scheduler zeroes a slot
+	// when it ticks the component; the component zeroes its own slot on
+	// external input (SetWakeSlot). A core's slot is also zeroed when the
+	// barrier frees it, when a context switch fires, and when its L1
+	// ticks while the core waits on L1 capacity.
+	wake       []uint64
+	wakers     []wakeSource // parallel to wake
+	coreCursor int          // core whose slot of this cycle is running
+	busy       bool         // the last simulated cycle ticked a component
 
 	// Done memoisation: Tick sets doneDirty, Done recomputes at most once
 	// per tick, and coresDone latches the (monotone) all-cores-drained
@@ -129,13 +123,13 @@ const WakeupNever = mem.WakeupNever
 type barrier struct {
 	members []int  // core ids, fixed at construction
 	waiting []bool // parallel to members
+	nwait   int    // members waiting; with none, an open changes nothing
 	iter    []int32
 	done    func(core int) bool
 	onOpen  func(iter int32)
-	// flipped records that an open released at least one waiting core —
-	// their fetch gates changed without any core-local event, so the
-	// event scheduler must invalidate cached core wakeups.
-	flipped bool
+	// release, if set, runs for each waiting member an open frees,
+	// before its gate flips.
+	release func(core int)
 }
 
 func newBarrier(members []int) *barrier {
@@ -147,12 +141,18 @@ func newBarrier(members []int) *barrier {
 }
 
 func (b *barrier) arrive(slot int, iter int32) {
+	if !b.waiting[slot] {
+		b.nwait++
+	}
 	b.waiting[slot] = true
 	b.iter[slot] = iter
 	b.maybeOpen()
 }
 
 func (b *barrier) maybeOpen() {
+	if b.nwait == 0 {
+		return
+	}
 	for i, c := range b.members {
 		if !b.waiting[i] && !b.done(c) {
 			return
@@ -162,10 +162,13 @@ func (b *barrier) maybeOpen() {
 	for i := range b.waiting {
 		if b.waiting[i] {
 			iter = b.iter[i]
-			b.flipped = true
+			if b.release != nil {
+				b.release(b.members[i])
+			}
 		}
 		b.waiting[i] = false
 	}
+	b.nwait = 0
 	if b.onOpen != nil && iter >= 0 {
 		b.onOpen(iter)
 	}
@@ -220,8 +223,6 @@ func New(cfg Config, app *apps.App) (*System, error) {
 			llcBackend = &bankRouter{sys: s}
 		}
 	}
-	s.llcWake = make([]uint64, len(s.llcs))
-	s.llcWakeOK = make([]bool, len(s.llcs))
 
 	sources := app.Sources()
 	s.cores = make([]*cpu.Core, cfg.Cores)
@@ -233,12 +234,6 @@ func New(cfg Config, app *apps.App) (*System, error) {
 	s.issueFns = make([]prefetch.IssueFunc, cfg.Cores)
 	s.cycleDriven = make([]bool, cfg.Cores)
 	s.pfWake = make([]prefetch.CycleDriven, cfg.Cores)
-	s.coreWake = make([]uint64, cfg.Cores)
-	s.l1Wake = make([]uint64, cfg.Cores)
-	s.l2Wake = make([]uint64, cfg.Cores)
-	s.coreWakeOK = make([]bool, cfg.Cores)
-	s.l1WakeOK = make([]bool, cfg.Cores)
-	s.l2WakeOK = make([]bool, cfg.Cores)
 
 	for c := 0; c < cfg.Cores; c++ {
 		l2cfg := cfg.L2
@@ -259,7 +254,9 @@ func New(cfg Config, app *apps.App) (*System, error) {
 		b := s.barriers[g]
 		b.done = func(core int) bool { return s.cores[core].Done() }
 		b.onOpen = s.makeOnOpen(g)
+		b.release = s.releaseCore
 	}
+	s.buildWakeTable()
 	if cfg.Coherence {
 		s.wireCoherence()
 	}
@@ -588,8 +585,8 @@ func (s *System) wireCoherence() {
 // demand-miss stream trains the shared correlation table, and predicted
 // successors are issued into whichever bank owns them, tagged with the
 // consuming core. Purely reactive — it participates in the event
-// scheduler only through the wake-dirty flags its TryPrefetch calls
-// set on the receiving banks.
+// scheduler only through the wake-table slots its TryPrefetch calls
+// zero on the receiving banks.
 func (s *System) wireCrossCore() {
 	s.xcore = prefetch.NewCrossCore(s.cfg.Cores, s.cfg.CrossCoreEntries)
 	s.xcore.Issue = func(core int, line mem.Addr) bool {
@@ -639,6 +636,70 @@ func (s *System) metaHook(c int) func(write bool, addr mem.Addr) {
 	}
 }
 
+// wakeSource is a component with a slot in the wake table.
+type wakeSource interface {
+	Wakeup(now uint64) uint64
+	SetWakeSlot(slot *uint64)
+}
+
+// buildWakeTable lays the wake table out in tick order and hands each
+// component a pointer to its slot.
+func (s *System) buildWakeTable() {
+	srcs := make([]wakeSource, 0, 3*len(s.cores)+len(s.llcs)+1)
+	for _, c := range s.cores {
+		srcs = append(srcs, c)
+	}
+	for c := range s.cores {
+		srcs = append(srcs, s.l1s[c], s.l2s[c])
+	}
+	for _, llc := range s.llcs {
+		srcs = append(srcs, llc)
+	}
+	srcs = append(srcs, s.mc)
+	s.wake = make([]uint64, len(srcs))
+	for i, src := range srcs {
+		src.SetWakeSlot(&s.wake[i])
+	}
+	s.wakers = srcs
+}
+
+// wakeAt returns slot i's cached wakeup, recomputing a zeroed slot.
+func (s *System) wakeAt(i int, now uint64) uint64 {
+	if w := s.wake[i]; w != 0 {
+		return w
+	}
+	return s.recomputeWake(i, now)
+}
+
+// recomputeWake is kept out of line so that wakeAt stays inlinable.
+//
+//go:noinline
+func (s *System) recomputeWake(i int, now uint64) uint64 {
+	w := s.wakers[i].Wakeup(now)
+	s.wake[i] = w
+	return w
+}
+
+// releaseCore is the barrier's release hook. It charges core c's gated
+// span — through this cycle when c's slot has already run, through the
+// previous one when it is still to come — and drops c's cached wakeup.
+func (s *System) releaseCore(c int) {
+	to := s.cycle
+	if c > s.coreCursor {
+		to--
+	}
+	s.cores[c].Settle(to)
+	s.wake[c] = 0
+}
+
+// settleCores charges every core's skipped cycles through the current
+// cycle, before anything reads core statistics or hashes core state.
+func (s *System) settleCores() {
+	for _, c := range s.cores {
+		c.Settle(s.cycle)
+	}
+}
+
 // Tick advances the machine one cycle.
 func (s *System) Tick() {
 	s.cycle++
@@ -653,9 +714,11 @@ func (s *System) Tick() {
 		// The process is descheduled while switched out: cores make no
 		// progress (the memory system below still drains).
 		for c := range s.cores {
+			s.coreCursor = c
 			s.cores[c].Tick(now)
 		}
 	}
+	s.coreCursor = len(s.cores)
 	for c := range s.cores {
 		s.l1s[c].Tick(now)
 		s.l2s[c].Tick(now)
@@ -670,6 +733,13 @@ func (s *System) Tick() {
 		s.ideal.Tick(now)
 	}
 	s.mc.Tick(now)
+	s.endCycle(now)
+}
+
+// endCycle runs the end-of-cycle events both engines share: barrier
+// opens (a drained member counts as arrived), then the telemetry sample
+// and the audit sweep when due.
+func (s *System) endCycle(now uint64) {
 	for _, b := range s.barriers {
 		b.maybeOpen()
 	}
@@ -681,176 +751,109 @@ func (s *System) Tick() {
 		// nextSampleAt, because probes read live state — e.g. cpu ipc
 		// reads Stats.Cycles — so the machine must be ticked at exactly
 		// the sample cycle for the values to match the stepped engine.)
+		s.settleCores()
 		stamp := now - now%s.sampleEvery
 		s.tel.Sample(stamp)
 		s.nextSampleAt = stamp + s.sampleEvery
 	}
 	if s.aud != nil && now >= s.nextAuditAt {
+		s.settleCores()
 		s.aud.Check(now)
 		s.nextAuditAt = now - now%s.auditEvery + s.auditEvery
 	}
 }
 
-// refreshGates invalidates cached core wakeups when the iteration
-// barrier released waiting cores: their fetch gates changed without any
-// core-local event, which cached values cannot see.
-func (s *System) refreshGates() {
-	flipped := false
-	for _, b := range s.barriers {
-		if b.flipped {
-			b.flipped = false
-			flipped = true
-		}
-	}
-	if flipped {
-		for i := range s.coreWakeOK {
-			s.coreWakeOK[i] = false
-		}
-	}
-}
-
-// The *WakeAt accessors return the component's wakeup, recomputing only
-// when the cached value is gone (component ticked) or stale (external
-// input set the component's wake-dirty flag). Frozen components — the
-// common case — cost two boolean loads per cycle instead of a wakeup
-// evaluation.
-
-func (s *System) coreWakeAt(i int, now uint64) uint64 {
-	if s.cores[i].TakeWakeDirty() || !s.coreWakeOK[i] {
-		s.coreWake[i] = s.cores[i].Wakeup(now)
-		s.coreWakeOK[i] = true
-	}
-	return s.coreWake[i]
-}
-
-func (s *System) l1WakeAt(i int, now uint64) uint64 {
-	if s.l1s[i].TakeWakeDirty() || !s.l1WakeOK[i] {
-		s.l1Wake[i] = s.l1s[i].Wakeup(now)
-		s.l1WakeOK[i] = true
-	}
-	return s.l1Wake[i]
-}
-
-func (s *System) l2WakeAt(i int, now uint64) uint64 {
-	if s.l2s[i].TakeWakeDirty() || !s.l2WakeOK[i] {
-		s.l2Wake[i] = s.l2s[i].Wakeup(now)
-		s.l2WakeOK[i] = true
-	}
-	return s.l2Wake[i]
-}
-
-func (s *System) llcWakeAt(b int, now uint64) uint64 {
-	if s.llcs[b].TakeWakeDirty() || !s.llcWakeOK[b] {
-		s.llcWake[b] = s.llcs[b].Wakeup(now)
-		s.llcWakeOK[b] = true
-	}
-	return s.llcWake[b]
-}
-
-func (s *System) mcWakeAt(now uint64) uint64 {
-	if s.mc.TakeWakeDirty() || !s.mcWakeOK {
-		s.mcWake = s.mc.Wakeup(now)
-		s.mcWakeOK = true
-	}
-	return s.mcWake
-}
-
 // tickGated simulates one cycle like Tick, but consults each component's
 // wakeup just-in-time — in tick order, so work enqueued upstream earlier
 // in the same cycle is visible — and skips the component's Tick when it
-// has nothing due, charging the one-cycle accounting (Core.SkipIdle,
-// AdvanceClock) instead. This is the event engine's dense-region fast
-// path: in regions where *some* component acts every cycle (so the
-// global next-wakeup jump degenerates to stepping), most individual
-// components are still idle, and a skipped component Tick is provably a
-// no-op by the same wakeup contract that justifies multi-cycle jumps.
-// State evolution is byte-identical to Tick.
+// has nothing due: a skipped cache or controller only has its clock
+// advanced, a skipped core is charged later by Core.Settle. This is the
+// event engine's dense-region fast path: in regions where *some*
+// component acts every cycle (so the global next-wakeup jump
+// degenerates to stepping), most individual components are still idle,
+// and a skipped component Tick is provably a no-op by the same wakeup
+// contract that justifies multi-cycle jumps. State evolution is
+// byte-identical to Tick at any cycle, so simulating an extra cycle is
+// always safe; busy records whether this one ticked anything.
 func (s *System) tickGated() {
 	s.cycle++
 	s.ticked++
 	s.doneDirty = true
 	now := s.cycle
 	prev := now - 1
+	n := len(s.cores)
+	busy := false
 	switchedOut := false
 	if s.ctxOn {
 		outBefore := s.ctx.out
 		switchedOut = s.ctx.tick(s, now)
 		if s.ctx.out != outBefore {
 			// A switch fired: fetch gating changed under every core.
-			for i := range s.coreWakeOK {
-				s.coreWakeOK[i] = false
-			}
+			clear(s.wake[:n])
 		}
 	}
 	if !switchedOut {
-		for c := range s.cores {
-			// A barrier release earlier in this loop (the last worker's
-			// marker dispatch) un-gates cores later in tick order, so the
-			// flip check runs per core, not once per cycle.
-			s.refreshGates()
-			if s.coreWakeAt(c, prev) <= now {
-				s.coreWakeOK[c] = false
-				s.cores[c].Tick(now)
-			} else {
-				s.cores[c].SkipIdle(1)
+		for c, core := range s.cores {
+			s.coreCursor = c
+			if s.wakeAt(c, prev) <= now {
+				s.wake[c] = 0
+				core.Tick(now)
+				busy = true
 			}
 		}
 	}
+	s.coreCursor = n
 	for c := range s.cores {
-		if s.l1WakeAt(c, prev) <= now {
-			s.l1WakeOK[c] = false
-			// Core.Wakeup probes L1 demand capacity; an L1 tick may free
-			// read-queue space the cached core wakeup could not see.
-			s.coreWakeOK[c] = false
+		if i := n + 2*c; s.wakeAt(i, prev) <= now {
+			s.wake[i] = 0
 			s.l1s[c].Tick(now)
+			if s.cores[c].Backpressured() {
+				s.wake[c] = 0
+			}
+			busy = true
 		} else {
 			s.l1s[c].AdvanceClock(now)
 		}
-		if s.l2WakeAt(c, prev) <= now {
-			s.l2WakeOK[c] = false
+		if i := n + 2*c + 1; s.wakeAt(i, prev) <= now {
+			s.wake[i] = 0
 			s.l2s[c].Tick(now)
+			busy = true
 		} else {
 			s.l2s[c].AdvanceClock(now)
 		}
 		if s.cycleDriven[c] {
 			if pw := s.pfWake[c]; pw == nil || pw.Wakeup(prev) <= now {
 				s.prefs[c].OnCycle(now, s.issueFns[c])
+				busy = true
 			}
 		}
 	}
-	for b := range s.llcs {
-		if s.llcWakeAt(b, prev) <= now {
-			s.llcWakeOK[b] = false
-			s.llcs[b].Tick(now)
+	for b, llc := range s.llcs {
+		if i := 3*n + b; s.wakeAt(i, prev) <= now {
+			s.wake[i] = 0
+			llc.Tick(now)
+			busy = true
 		} else {
-			s.llcs[b].AdvanceClock(now)
+			llc.AdvanceClock(now)
 		}
 	}
 	if s.ideal != nil {
 		if s.ideal.wakeup(prev) <= now {
 			s.ideal.Tick(now)
+			busy = true
 		} else {
 			s.ideal.advanceClock(now)
 		}
 	}
-	if s.mcWakeAt(prev) <= now {
-		s.mcWakeOK = false
+	if i := len(s.wake) - 1; s.wakeAt(i, prev) <= now {
+		s.wake[i] = 0
 		s.mc.Tick(now)
+		busy = true
 	} else {
 		s.mc.AdvanceClock(now)
 	}
-	for _, b := range s.barriers {
-		b.maybeOpen()
-	}
-	if s.tel != nil && now >= s.nextSampleAt {
-		stamp := now - now%s.sampleEvery
-		s.tel.Sample(stamp)
-		s.nextSampleAt = stamp + s.sampleEvery
-	}
-	if s.aud != nil && now >= s.nextAuditAt {
-		s.aud.Check(now)
-		s.nextAuditAt = now - now%s.auditEvery + s.auditEvery
-	}
+	s.busy = busy
+	s.endCycle(now)
 }
 
 // Done reports whether every core has drained and the memory system is
@@ -989,6 +992,7 @@ func (s *System) RunAllContext(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.settleCores()
 	if s.tel != nil && s.cycle%s.sampleEvery != 0 {
 		s.tel.Sample(s.cycle) // capture the final, post-drain state
 	}
@@ -1035,8 +1039,11 @@ func (s *System) runCycleStepped(ctx context.Context, maxCycles uint64) error {
 // same FailFast points — but instead of ticking every cycle it asks
 // every component for its wakeup and simulates only the minimum. Cycles
 // in between are provably inert: skipping them is accounted for by
-// Core.SkipIdle (stall/cycle counters) and the AdvanceClock calls
-// (internal clock stamps), after which the regular Tick runs unchanged.
+// Core.Settle (stall/cycle counters) and the AdvanceClock calls
+// (internal clock stamps). While the machine is busy — the last cycle
+// ticked something — the next cycle is simulated without asking: the
+// scan would almost always answer "next cycle" anyway, and tickGated
+// makes an extra cycle safe.
 func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
 	for !s.Done() {
 		if err := ctx.Err(); err != nil {
@@ -1049,6 +1056,10 @@ func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
 			if s.cycle >= maxCycles {
 				return fmt.Errorf("sim: %s on %s/%s exceeded %d cycles",
 					s.cfg.Name, s.app.Name, s.app.Input, maxCycles)
+			}
+			if s.busy {
+				s.tickGated()
+				continue
 			}
 			limit := batchEnd
 			if maxCycles < limit {
@@ -1074,7 +1085,6 @@ func (s *System) runEventDriven(ctx context.Context, maxCycles uint64) error {
 // exits once the minimum hits s.cycle+1 since nothing can beat it.
 func (s *System) nextWakeup(limit uint64) uint64 {
 	now := s.cycle
-	s.refreshGates()
 	min := limit
 	consider := func(w uint64) bool {
 		if w <= now {
@@ -1094,21 +1104,15 @@ func (s *System) nextWakeup(limit uint64) uint64 {
 	if s.aud != nil && consider(s.nextAuditAt) {
 		return min
 	}
-	if !s.ctx.out {
-		// While descheduled the cores are frozen — their wakeups are
-		// meaningless until the switch-in (already counted above) — and
-		// they must not drag the scheduler into dense stepping.
-		for i := range s.cores {
-			if consider(s.coreWakeAt(i, now)) {
-				return min
-			}
-		}
+	// While descheduled the cores are frozen — their wakeups are
+	// meaningless until the switch-in (already counted above) — and they
+	// must not drag the scheduler into dense stepping.
+	first := 0
+	if s.ctx.out {
+		first = len(s.cores)
 	}
-	for i := range s.l1s {
-		if consider(s.l1WakeAt(i, now)) {
-			return min
-		}
-		if consider(s.l2WakeAt(i, now)) {
+	for i := first; i < len(s.wake); i++ {
+		if consider(s.wakeAt(i, now)) {
 			return min
 		}
 	}
@@ -1125,30 +1129,19 @@ func (s *System) nextWakeup(limit uint64) uint64 {
 			return now + 1
 		}
 	}
-	for b := range s.llcs {
-		if consider(s.llcWakeAt(b, now)) {
-			return min
-		}
+	if s.ideal != nil {
+		consider(s.ideal.wakeup(now))
 	}
-	if s.ideal != nil && consider(s.ideal.wakeup(now)) {
-		return min
-	}
-	consider(s.mcWakeAt(now))
 	return min
 }
 
 // advanceTo jumps the machine to cycle next and simulates it. The
-// skipped cycles (s.cycle, next) are charged to the cores' idle-cycle
-// accounting (suppressed while descheduled, when stepped cores would
-// not tick either) and the component clocks are fast-forwarded to
-// next-1, exactly the state a stepped run would carry into cycle next.
+// component clocks are fast-forwarded over the skipped cycles
+// (s.cycle, next) to next-1, exactly the state a stepped run would
+// carry into cycle next; the cores' idle-cycle accounting for the span
+// is left to Core.Settle.
 func (s *System) advanceTo(next uint64) {
-	if gap := next - s.cycle - 1; gap > 0 {
-		if !s.ctx.out {
-			for _, c := range s.cores {
-				c.SkipIdle(gap)
-			}
-		}
+	if next-s.cycle > 1 {
 		prev := next - 1
 		for i := range s.l1s {
 			s.l1s[i].AdvanceClock(prev)
@@ -1164,21 +1157,6 @@ func (s *System) advanceTo(next uint64) {
 		s.cycle = prev
 	}
 	s.tickGated()
-}
-
-// Snapshot returns a one-line progress dump for debugging stalled runs.
-func (s *System) Snapshot() string {
-	out := fmt.Sprintf("cycle=%d", s.cycle)
-	for c := range s.cores {
-		out += fmt.Sprintf(" core%d[done=%v instr=%d gated=%v l1p=%d l2p=%d]",
-			c, s.cores[c].Done(), s.cores[c].Stats.Instructions,
-			s.barriers[s.coreGrp[c]].gated(s.coreSlot[c]), s.l1s[c].Pending(), s.l2s[c].Pending())
-	}
-	for b, llc := range s.llcs {
-		out += fmt.Sprintf(" llcp%d=%d", b, llc.Pending())
-	}
-	out += fmt.Sprintf(" mcp=%d rq=%d wq=%d", s.mc.Pending(), s.mc.ReadQLen(), s.mc.WriteQLen())
-	return out
 }
 
 func (s *System) collect() *Result {
@@ -1253,18 +1231,3 @@ func addRnRStats(dst *rnr.Stats, s rnr.Stats) {
 // Engines exposes the per-core RnR engines (nil entries when RnR is not
 // configured); used by tests and debugging tools.
 func (s *System) Engines() []*rnr.Engine { return s.engines }
-
-// Occupancy returns a diagnostic line of queue occupancies for core c.
-func (s *System) Occupancy(c int) string {
-	rob, lsq := s.cores[c].Occupancy()
-	r1, p1, w1, m1 := s.l1s[c].Occupancy()
-	r2, p2, w2, m2 := s.l2s[c].Occupancy()
-	out := fmt.Sprintf("rob=%d lsq=%d L1[r%d p%d w%d m%d] L2[r%d p%d w%d m%d]",
-		rob, lsq, r1, p1, w1, m1, r2, p2, w2, m2)
-	for _, llc := range s.llcs {
-		r3, p3, w3, m3 := llc.Occupancy()
-		out += fmt.Sprintf(" LLC[r%d p%d w%d m%d]", r3, p3, w3, m3)
-	}
-	out += fmt.Sprintf(" DRAM[r%d w%d]", s.mc.ReadQLen(), s.mc.WriteQLen())
-	return out
-}
